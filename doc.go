@@ -71,11 +71,13 @@
 // # Parallelism and determinism
 //
 // All distance-dominated passes (the Gonzalez farthest-point scans,
-// nearest-center assignment, radius computation, and the outlier covering
-// loop) run on a shared parallel distance engine (internal/metric) that
-// chunks the point set across a bounded set of worker goroutines — each
-// chunk driven by the space's batched kernels — falling back to sequential
-// execution below a size cutoff. The WithWorkers option controls the degree:
+// nearest-center assignment, radius computation, and the ball-weight fill
+// that starts each OutliersCluster probe of the outlier radius search; the
+// center picks and covering updates after it stay sequential) run on a
+// shared parallel distance engine (internal/metric) that chunks the point
+// set across a bounded set of worker goroutines — each chunk driven by the
+// space's batched kernels — falling back to sequential execution below a
+// size cutoff. The WithWorkers option controls the degree:
 // 0 (the default) uses one worker per CPU, 1 forces the fully sequential
 // path.
 //

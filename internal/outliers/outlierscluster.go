@@ -72,19 +72,60 @@ func validateClusterParams(set metric.WeightedSet, k int, r, epsHat float64) err
 	return nil
 }
 
-// pairwise abstracts how pairwise distances between set elements are obtained:
-// either recomputed on demand or read from a precomputed matrix. The radius
-// search evaluates OutliersCluster many times over the same set, so caching
-// the matrix removes the dominant cost for moderate coreset sizes. Values
-// are always in the TRUE distance domain: the covering thresholds of
-// Algorithm 1 are true radii, and keeping the matrix in the true domain
-// means the conversion out of the space's surrogate is paid once per pair at
-// build time, never during the search.
-type pairwise func(i, j int) float64
+// pairwise gives row access to the pairwise distances of a set. The radius
+// search evaluates OutliersCluster many times over the same set, so up to
+// maxCachedMatrixSize points the full matrix is precomputed once and a row
+// is a slice of it; above that size each row is recomputed on demand with
+// the space's scalar distance. Values are always in the TRUE distance
+// domain: the covering thresholds of Algorithm 1 are true radii, and keeping
+// the matrix in the true domain means the conversion out of the space's
+// surrogate is paid once per pair at build time, never during the search.
+type pairwise struct {
+	sp  metric.Space
+	pts metric.Dataset
+	// m is the row-major n*n matrix, nil when rows are computed on demand.
+	m []float64
+}
 
 // pairwiseFromSpace evaluates the space's true distance on demand.
 func pairwiseFromSpace(sp metric.Space, set metric.WeightedSet) pairwise {
-	return func(i, j int) float64 { return sp.Distance(set[i].P, set[j].P) }
+	return pairwise{sp: sp, pts: set.Points()}
+}
+
+// row returns d(i, j) for every j. An on-demand row is written into buf
+// (length n); a cached row aliases the matrix and must not be modified.
+func (pd pairwise) row(i int, buf []float64) []float64 {
+	n := len(pd.pts)
+	if pd.m != nil {
+		return pd.m[i*n : (i+1)*n]
+	}
+	for j, q := range pd.pts {
+		buf[j] = pd.sp.Distance(pd.pts[i], q)
+	}
+	return buf
+}
+
+// col returns d(j, i) for every j. The cached matrix is symmetric by
+// construction, so its column is row i; on demand the arguments keep the
+// row-major order, so the values match row(j)[i] bit for bit even for a
+// custom distance that is not.
+func (pd pairwise) col(i int, buf []float64) []float64 {
+	if pd.m != nil {
+		return pd.row(i, nil)
+	}
+	for j, p := range pd.pts {
+		buf[j] = pd.sp.Distance(p, pd.pts[i])
+	}
+	return buf
+}
+
+// buffer returns the scratch slice on-demand rows need (nil for a cached
+// matrix).
+func (pd pairwise) buffer() []float64 {
+	if pd.m != nil {
+		return nil
+	}
+	return make([]float64, len(pd.pts))
 }
 
 // maxCachedMatrixSize bounds the number of points for which Solve materialises
@@ -126,66 +167,62 @@ func pairwiseMatrix(eng metric.Engine, sp metric.Space, set metric.WeightedSet) 
 			}
 		})
 	}
-	return func(i, j int) float64 { return m[i*n+j] }
+	return pairwise{sp: sp, pts: pts, m: m}
 }
 
-// clusterPairwise is the core of Algorithm 1, parameterised by the pairwise
-// distance accessor. The per-iteration scan for the heaviest ball is chunked
-// across the engine's workers: each candidate's ball weight is an exact
-// int64 sum over the (read-only during the scan) uncovered set, and the
-// per-chunk maxima are reduced in chunk order with strict comparisons, so
-// the selected center is identical to the sequential left-to-right scan.
+// clusterPairwise is the core of Algorithm 1 over the rows of pd, in O(n^2)
+// per call whatever k is. weight[t] holds the uncovered weight inside t's
+// (1+2eps)r-ball: it is filled once, then every point that becomes covered
+// subtracts its weight from the balls that hold it, so each center is an
+// O(n) argmax instead of a rescan of every ball. The int64 sums are exact,
+// so weight[t] always equals a fresh rescan, and the strict argmax breaks
+// ties to the lowest index. Only the initial fill is chunked across the
+// engine's workers (each worker owns whole rows), so the result is
+// bit-identical for any worker count.
 func clusterPairwise(eng metric.Engine, pd pairwise, set metric.WeightedSet, k int, r, epsHat float64) *ClusterResult {
 	n := len(set)
 	ballRadius := (1 + 2*epsHat) * r
 	coverRadius := (3 + 4*epsHat) * r
+	// The weights, packed for the O(n^2) loops below.
+	w := make([]int64, n)
+	for i, p := range set {
+		w[i] = p.W
+	}
+
+	weight := make([]int64, n)
+	fill := func(lo, hi int) {
+		buf := pd.buffer()
+		for t := lo; t < hi; t++ {
+			var sum int64
+			for v, d := range pd.row(t, buf) {
+				if d <= ballRadius {
+					sum += w[v]
+				}
+			}
+			weight[t] = sum
+		}
+	}
+	if eng.Sequential(n * n) {
+		fill(0, n)
+	} else {
+		eng.ForEachChunkCost(n, n, func(_, lo, hi int) { fill(lo, hi) })
+	}
+
 	uncovered := make([]bool, n)
 	for i := range uncovered {
 		uncovered[i] = true
 	}
 	uncoveredCount := n
-
-	ballWeight := func(t int) int64 {
-		var w int64
-		for v := 0; v < n; v++ {
-			if uncovered[v] && pd(t, v) <= ballRadius {
-				w += set[v].W
-			}
-		}
-		return w
-	}
-
+	rowBuf, colBuf := pd.buffer(), pd.buffer()
 	res := &ClusterResult{}
 	for len(res.CenterIndices) < k && uncoveredCount > 0 {
 		// Pick the point (covered or not) whose (1+2eps)r-ball has maximum
 		// aggregate uncovered weight.
 		bestIdx, bestWeight := -1, int64(-1)
-		if eng.Sequential(n * n) {
-			for t := 0; t < n; t++ {
-				if w := ballWeight(t); w > bestWeight {
-					bestWeight = w
-					bestIdx = t
-				}
-			}
-		} else {
-			nc := eng.NumChunksCost(n, n)
-			idxs := make([]int, nc)
-			weights := make([]int64, nc)
-			eng.ForEachChunkCost(n, n, func(chunk, lo, hi int) {
-				ci, cw := -1, int64(-1)
-				for t := lo; t < hi; t++ {
-					if w := ballWeight(t); w > cw {
-						cw = w
-						ci = t
-					}
-				}
-				idxs[chunk], weights[chunk] = ci, cw
-			})
-			for c := 0; c < nc; c++ {
-				if weights[c] > bestWeight {
-					bestWeight = weights[c]
-					bestIdx = idxs[c]
-				}
+		for t, wt := range weight {
+			if wt > bestWeight {
+				bestWeight = wt
+				bestIdx = t
 			}
 		}
 		if bestIdx < 0 {
@@ -194,18 +231,26 @@ func clusterPairwise(eng metric.Engine, pd pairwise, set metric.WeightedSet, k i
 		res.CenterIndices = append(res.CenterIndices, bestIdx)
 		res.Centers = append(res.Centers, set[bestIdx].P)
 		// Remove from the uncovered set everything within (3+4eps)r of the
-		// new center.
-		for v := 0; v < n; v++ {
-			if uncovered[v] && pd(bestIdx, v) <= coverRadius {
+		// new center; the ball weights are only needed for another center.
+		update := len(res.CenterIndices) < k
+		for v, d := range pd.row(bestIdx, rowBuf) {
+			if uncovered[v] && d <= coverRadius {
 				uncovered[v] = false
 				uncoveredCount--
+				if update {
+					for t, dt := range pd.col(v, colBuf) {
+						if dt <= ballRadius {
+							weight[t] -= w[v]
+						}
+					}
+				}
 			}
 		}
 	}
 	for i, u := range uncovered {
 		if u {
 			res.Uncovered = append(res.Uncovered, i)
-			res.UncoveredWeight += set[i].W
+			res.UncoveredWeight += w[i]
 		}
 	}
 	return res
@@ -274,10 +319,10 @@ func SolveWithWorkers(dist metric.Distance, set metric.WeightedSet, k int, z int
 }
 
 // SolveIn is the Space form of Solve: the pairwise-matrix build and the
-// per-center heaviest-ball scans of every OutliersCluster evaluation are
-// chunked across workers goroutines (<= 0 selects one per CPU, 1 — the Solve
-// default — keeps the fully sequential path). The result is bit-identical
-// for any worker count.
+// ball-weight fill of every OutliersCluster evaluation are chunked across
+// workers goroutines (<= 0 selects one per CPU, 1 — the Solve default —
+// keeps the fully sequential path). The result is bit-identical for any
+// worker count.
 func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat float64, strategy SearchStrategy, workers int) (*SolveResult, error) {
 	if err := validateClusterParams(set, k, 0, epsHat); err != nil {
 		return nil, err
@@ -303,32 +348,30 @@ func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat flo
 		evals++
 		return res, res.UncoveredWeight <= z
 	}
+	result := func(res *ClusterResult, r float64) *SolveResult {
+		return &SolveResult{
+			Centers:         res.Centers,
+			CenterIndices:   res.CenterIndices,
+			Radius:          r,
+			UncoveredWeight: res.UncoveredWeight,
+			Evaluations:     evals,
+		}
+	}
 
 	// Degenerate cases: k >= |T| means radius 0 covers everything (every
 	// point can be its own center), and likewise if the total weight beyond
 	// the k heaviest points is at most z.
-	if res, ok := feasible(0); ok {
-		return &SolveResult{
-			Centers:         res.Centers,
-			CenterIndices:   res.CenterIndices,
-			Radius:          0,
-			UncoveredWeight: res.UncoveredWeight,
-			Evaluations:     evals,
-		}, nil
+	zero, ok := feasible(0)
+	if ok {
+		return result(zero, 0), nil
 	}
 
-	candidates := candidateRadii(sp, set.Points())
+	candidates := candidateRadii(pd)
 	if len(candidates) == 0 {
 		// All points coincide: radius 0 was already feasible above unless the
-		// weight budget is impossible, in which case we just report radius 0.
-		res := clusterPairwise(eng, pd, set, k, 0, epsHat)
-		return &SolveResult{
-			Centers:         res.Centers,
-			CenterIndices:   res.CenterIndices,
-			Radius:          0,
-			UncoveredWeight: res.UncoveredWeight,
-			Evaluations:     evals,
-		}, nil
+		// weight budget is impossible, in which case we just report the
+		// radius-0 clustering computed above.
+		return result(zero, 0), nil
 	}
 
 	var chosen float64
@@ -399,13 +442,7 @@ func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat flo
 		chosenRes = clusterPairwise(eng, pd, set, k, chosen, epsHat)
 	}
 
-	return &SolveResult{
-		Centers:         chosenRes.Centers,
-		CenterIndices:   chosenRes.CenterIndices,
-		Radius:          chosen,
-		UncoveredWeight: chosenRes.UncoveredWeight,
-		Evaluations:     evals,
-	}, nil
+	return result(chosenRes, chosen), nil
 }
 
 // candidateRadii returns the sorted distinct positive pairwise distances of
@@ -413,12 +450,22 @@ func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat flo
 // OutliersCluster changes only when r crosses a value at which some pairwise
 // distance enters or leaves one of the two balls, and searching the pairwise
 // distances themselves is the protocol of the original Charikar et al.
-// algorithm that the paper builds on. Rows are computed with the space's
-// batched kernel; the values are true distances.
-func candidateRadii(sp metric.Space, points metric.Dataset) []float64 {
-	ds := metric.PairwiseDistancesIn(sp, points)
-	if len(ds) == 0 {
+// algorithm that the paper builds on. A cached matrix is read through its
+// upper triangle; without one the pairs are computed with the space's
+// batched kernel, as the matrix build does. The values are true distances.
+func candidateRadii(pd pairwise) []float64 {
+	n := len(pd.pts)
+	if n < 2 {
 		return nil
+	}
+	var ds []float64
+	if pd.m == nil {
+		ds = metric.PairwiseDistancesIn(pd.sp, pd.pts)
+	} else {
+		ds = make([]float64, 0, n*(n-1)/2)
+		for i := 0; i < n-1; i++ {
+			ds = append(ds, pd.m[i*n+i+1:(i+1)*n]...)
+		}
 	}
 	sort.Float64s(ds)
 	out := ds[:0]
@@ -436,8 +483,8 @@ func candidateRadii(sp metric.Space, points metric.Dataset) []float64 {
 // k-center problem with z outliers on an unweighted point set: unit weights,
 // epsHat = 0, and an exhaustive search over all pairwise distances (smallest
 // feasible first). This is the CHARIKARETAL baseline of Figure 8; its running
-// time is O(k |S|^2 log|S|)-ish and it is only meant for datasets of at most a
-// few tens of thousands of points.
+// time is O(|S|^2 log|S|) per search (O(|S|^2) per probed radius) and it is
+// only meant for datasets of at most a few tens of thousands of points.
 func CharikarEtAl(dist metric.Distance, points metric.Dataset, k, z int) (*SolveResult, error) {
 	if z < 0 {
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)

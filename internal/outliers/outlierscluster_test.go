@@ -2,6 +2,7 @@ package outliers
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -346,18 +347,143 @@ func TestDelta(t *testing.T) {
 }
 
 func TestCandidateRadii(t *testing.T) {
-	ds := metric.Dataset{{0}, {1}, {1}, {3}}
-	got := candidateRadii(metric.EuclideanSpace, ds)
+	set := metric.Unweighted(metric.Dataset{{0}, {1}, {1}, {3}})
 	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("candidateRadii = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("candidateRadii = %v, want %v", got, want)
+	// The cached matrix's upper triangle and the on-demand batched pass
+	// yield the same candidates.
+	for name, pd := range map[string]pairwise{
+		"matrix":    pairwiseMatrix(metric.NewEngine(1), metric.EuclideanSpace, set),
+		"on-demand": pairwiseFromSpace(metric.EuclideanSpace, set),
+	} {
+		got := candidateRadii(pd)
+		if len(got) != len(want) {
+			t.Fatalf("%s: candidateRadii = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: candidateRadii = %v, want %v", name, got, want)
+			}
 		}
 	}
-	if got := candidateRadii(metric.EuclideanSpace, metric.Dataset{{5}}); got != nil {
+	single := metric.Unweighted(metric.Dataset{{5}})
+	if got := candidateRadii(pairwiseMatrix(metric.NewEngine(1), metric.EuclideanSpace, single)); got != nil {
 		t.Errorf("singleton candidates = %v, want nil", got)
+	}
+}
+
+// clusterReference is the direct O(k*n^2) rendering of Algorithm 1: every
+// center rescans the ball of every point against the current uncovered set.
+// clusterPairwise must reproduce it exactly.
+func clusterReference(pd pairwise, set metric.WeightedSet, k int, r, epsHat float64) *ClusterResult {
+	n := len(set)
+	ballRadius := (1 + 2*epsHat) * r
+	coverRadius := (3 + 4*epsHat) * r
+	buf := make([]float64, n)
+	uncovered := make([]bool, n)
+	for i := range uncovered {
+		uncovered[i] = true
+	}
+	uncoveredCount := n
+	res := &ClusterResult{}
+	for len(res.CenterIndices) < k && uncoveredCount > 0 {
+		bestIdx, bestWeight := -1, int64(-1)
+		for t := 0; t < n; t++ {
+			var w int64
+			for v, d := range pd.row(t, buf) {
+				if uncovered[v] && d <= ballRadius {
+					w += set[v].W
+				}
+			}
+			if w > bestWeight {
+				bestWeight = w
+				bestIdx = t
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		res.CenterIndices = append(res.CenterIndices, bestIdx)
+		res.Centers = append(res.Centers, set[bestIdx].P)
+		for v, d := range pd.row(bestIdx, buf) {
+			if uncovered[v] && d <= coverRadius {
+				uncovered[v] = false
+				uncoveredCount--
+			}
+		}
+	}
+	for i, u := range uncovered {
+		if u {
+			res.Uncovered = append(res.Uncovered, i)
+			res.UncoveredWeight += set[i].W
+		}
+	}
+	return res
+}
+
+// gridWeightedSet draws n weighted points on a small integer grid, so that
+// duplicates (zero distances) are common and Manhattan distances are small
+// integers that land exactly on the ball and cover radii.
+func gridWeightedSet(rng *rand.Rand, n, dim, side int) metric.WeightedSet {
+	set := make(metric.WeightedSet, n)
+	for i := range set {
+		p := make(metric.Point, dim)
+		for j := range p {
+			p[j] = float64(rng.Intn(side))
+		}
+		set[i] = metric.WeightedPoint{P: p, W: 1 + int64(rng.Intn(7))}
+	}
+	return set
+}
+
+// TestClusterMatchesReference: the incremental ball weights select exactly
+// the centers of the rescanning greedy and leave exactly the same points
+// uncovered, for both row paths and any worker count, including radii that
+// fall exactly on pairwise distances, r = 0 and k >= n.
+func TestClusterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sets := []struct {
+		name string
+		sp   metric.Space
+		set  metric.WeightedSet
+	}{
+		{"grid-manhattan", metric.ManhattanSpace, gridWeightedSet(rng, 40, 2, 5)},
+		{"grid-euclidean", metric.EuclideanSpace, gridWeightedSet(rng, 60, 3, 4)},
+		// Large enough (n*n >= metric.SequentialCutoff) to split the
+		// ball-weight fill into several chunks.
+		{"grid-chunked", metric.ManhattanSpace, gridWeightedSet(rng, 130, 2, 9)},
+		{"normal-chunked", metric.EuclideanSpace, parallelTestSet(110, 3, 4)},
+	}
+	for _, tc := range sets {
+		n := len(tc.set)
+		seq := metric.NewEngine(1)
+		rowPaths := map[string]pairwise{
+			"matrix":    pairwiseMatrix(seq, tc.sp, tc.set),
+			"on-demand": pairwiseFromSpace(tc.sp, tc.set),
+		}
+		cands := candidateRadii(rowPaths["matrix"])
+		radii := []float64{0, cands[len(cands)-1] * 2}
+		for i := 0; i < len(cands); i += 1 + len(cands)/6 {
+			radii = append(radii, cands[i])
+		}
+		for pathName, pd := range rowPaths {
+			for _, k := range []int{1, 3, 7, n, n + 2} {
+				for _, epsHat := range []float64{0, 0.25, 0.5} {
+					for _, r := range radii {
+						want := clusterReference(pd, tc.set, k, r, epsHat)
+						for _, workers := range []int{1, 0, 3} {
+							got := clusterPairwise(metric.NewEngine(workers), pd, tc.set, k, r, epsHat)
+							if !reflect.DeepEqual(got.CenterIndices, want.CenterIndices) ||
+								!reflect.DeepEqual(got.Uncovered, want.Uncovered) ||
+								got.UncoveredWeight != want.UncoveredWeight {
+								t.Fatalf("%s/%s k=%d eps=%v r=%v workers=%d: centers %v uncovered %v (weight %d), want %v %v (%d)",
+									tc.name, pathName, k, epsHat, r, workers,
+									got.CenterIndices, got.Uncovered, got.UncoveredWeight,
+									want.CenterIndices, want.Uncovered, want.UncoveredWeight)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

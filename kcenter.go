@@ -157,8 +157,8 @@ func WithParallelism(workers int) Option {
 
 // WithWorkers sets the parallelism degree of the distance engine: the number
 // of goroutines over which every distance-dominated pass (Gonzalez scans,
-// nearest-center assignment, radius computation, the outlier covering loop)
-// is chunked. n <= 0 (the default) selects one worker per available CPU; 1
+// nearest-center assignment, radius computation, the ball-weight fill of the
+// outlier radius search) is chunked. n <= 0 (the default) selects one worker per available CPU; 1
 // forces the fully sequential path.
 //
 // The determinism contract: centers, radii and assignments are bit-identical
